@@ -24,7 +24,8 @@ def _sweep(cube):
     outs = {}
     for budget in BUDGETS_KIB:
         spec = GEFORCE_7800GTX.with_(vram_bytes=budget * 1024)
-        outs[budget] = gpu_morphological_stage(cube, spec=spec)
+        outs[budget] = gpu_morphological_stage(cube, spec=spec,
+                                               schedule="paper")
     return outs
 
 

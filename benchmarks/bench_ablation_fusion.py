@@ -21,7 +21,9 @@ WIDTHS = (1, 2, 3, 6)
 
 
 def _sweep(cube):
-    return {fuse: gpu_morphological_stage(cube, fuse_groups=fuse)
+    # the paper's pass schedule, so rows stay comparable across versions
+    return {fuse: gpu_morphological_stage(cube, fuse_groups=fuse,
+                                          schedule="paper")
             for fuse in WIDTHS}
 
 

@@ -95,20 +95,33 @@ class NaiveBackend(MorphologicalBackend):
 
 class GpuBackend(MorphologicalBackend):
     """``gpu`` — the stream implementation of paper Fig. 4 on a virtual
-    board (:func:`repro.core.amc_gpu.gpu_morphological_stage`)."""
+    board (:func:`repro.core.amc_gpu.gpu_morphological_stage`).
+
+    Runs the shift-reuse pass schedule by default; construct with
+    ``schedule="paper"`` to launch the paper's per-pair schedule (the
+    one Tables 4-5 time).  Both are bit-identical; only the device
+    accounting differs.
+    """
 
     name = "gpu"
     mei_dtype = np.float32
     supports_device_unmixing = True
     supports_trace = True
 
-    def __init__(self, optimize: str = "fuse") -> None:
+    def __init__(self, optimize: str = "fuse",
+                 schedule: str = "reuse") -> None:
+        if schedule != "reuse":
+            # checked here, not at run time; the registry's default
+            # instance skips the import (see the module docstring)
+            from repro.core.amc_gpu import check_schedule
+
+            check_schedule(schedule)
         self.optimize = optimize
+        self.schedule = schedule
 
     def configured(self, *, optimize: str = "fuse"):
-        """A backend whose boards run in the requested ``optimize``
-        mode."""
-        return GpuBackend(optimize=optimize)
+        """Same schedule, boards in the requested ``optimize`` mode."""
+        return GpuBackend(optimize=optimize, schedule=self.schedule)
 
     def _resolve_device(self, spec, device):
         if device is not None:
@@ -130,7 +143,8 @@ class GpuBackend(MorphologicalBackend):
         from repro.core.amc_gpu import gpu_morphological_stage
 
         dev = self._resolve_device(spec, device)
-        out = gpu_morphological_stage(bip, radius, device=dev)
+        out = gpu_morphological_stage(bip, radius, device=dev,
+                                      schedule=self.schedule)
         return MorphologyResult(mei=out.mei.astype(np.float64),
                                 erosion_index=out.erosion_index,
                                 dilation_index=out.dilation_index,
@@ -143,7 +157,8 @@ class GpuBackend(MorphologicalBackend):
         from repro.core.amc_gpu import gpu_morphological_stage
 
         device = self._resolve_device(spec, None)
-        out = gpu_morphological_stage(bip, radius, device=device)
+        out = gpu_morphological_stage(bip, radius, device=device,
+                                      schedule=self.schedule)
         counters = device.counters
         split = (counters.upload_time_s, counters.kernel_time_s,
                  counters.download_time_s)

@@ -10,11 +10,22 @@ This is the implementation of paper Fig. 4, kernel for kernel:
    sum across the texture stack (ping-pong targets), then per-group
    kernels divide and take logarithms (eqs. 3-4 plus the log stream the
    SID decomposition needs).
-3. **Cumulative distance** — for every unordered pair of SE offsets, a
-   chain of accumulation kernels computes the cross-entropy terms over
-   the stack, a combine kernel produces the pair's SID map, and two
-   accumulation kernels add it into the pair's two cumulative-distance
-   streams (``accum_k`` in Fig. 4).
+3. **Cumulative distance** — the K cumulative-distance streams
+   (``accum_k`` in Fig. 4), built by one of two pass schedules:
+
+   * ``schedule="paper"`` — for every unordered pair of SE offsets, a
+     chain of accumulation kernels computes the cross-entropy terms over
+     the stack, a combine kernel produces the pair's SID map, and two
+     accumulation kernels add it into the pair's two streams.  This is
+     the schedule Tables 4-5 time.
+   * ``schedule="reuse"`` (the default) — one SID map per unique offset
+     *difference* ``d = b - a`` (40 instead of 300 at radius 2), then
+     gather kernels that fold each stream from fixed-offset fetches of
+     those maps, in the paper loop's addition order.  Chunks are
+     uploaded edge-replicated by the SE radius, so clamp-to-edge never
+     fires for a core pixel and the result is bit-identical to the
+     paper schedule (``docs/performance.md``, "Device-side shift
+     reuse").
 4. **Maximum and minimum** — a running-reduction kernel folds the K
    cumulative streams into a single RGBA state texture holding
    ``(max value, max index, min value, min index)`` per pixel, the classic
@@ -38,7 +49,8 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.mei import se_offsets
-from repro.errors import ShapeError, StreamError
+from repro.core.pairreuse import unique_difference_offsets
+from repro.errors import ShapeError, StreamError, ValidationError
 from repro.gpu import shaderir as ir
 from repro.gpu.device import VirtualGPU
 from repro.gpu.shader import FragmentShader
@@ -51,7 +63,7 @@ from repro.gpu.texture import (
     group_masks,
     pack_bands,
 )
-from repro.hsi.chunking import ChunkPlan, plan_chunks_by_lines
+from repro.hsi.chunking import Chunk, ChunkPlan, plan_chunks_by_lines
 from repro.spectral.normalize import SpectralEpsilon
 
 
@@ -121,6 +133,23 @@ def _x(e: ir.Expr) -> ir.Expr:
 #: fusion width of the reduction kernels is chosen against this limit.
 MAX_TEXTURE_UNITS: int = 16
 
+#: Pass schedules of the cumulative-distance stage: ``"reuse"`` (the
+#: production default — one SID map per unique offset difference) and
+#: ``"paper"`` (one cross/SID/accumulate chain per SE pair, the schedule
+#: Tables 4-5 report).  Both produce the same bytes.
+SCHEDULES: tuple[str, ...] = ("reuse", "paper")
+
+#: Difference-map fetches one gather pass folds: every texture unit but
+#: the one holding the running accumulator.
+GATHER_FETCHES: int = MAX_TEXTURE_UNITS - 1
+
+
+def check_schedule(schedule: str) -> None:
+    """Validate a pass-schedule name (one of :data:`SCHEDULES`)."""
+    if schedule not in SCHEDULES:
+        raise ValidationError(
+            f"schedule must be one of {SCHEDULES}, got {schedule!r}")
+
 
 def _batches(groups: int, fuse: int) -> list[tuple[int, int]]:
     """Split ``groups`` band groups into (start, width) fusion batches."""
@@ -130,17 +159,81 @@ def _batches(groups: int, fuse: int) -> list[tuple[int, int]]:
             for start in range(0, groups, fuse)]
 
 
+def _cross_shader(name: str, w: int, a: tuple[int, int],
+                  b: tuple[int, int]) -> FragmentShader:
+    """acc' = acc + sum_i dot(norm_i(x+a), logt_i(x+b))
+    + dot(norm_i(x+b), logt_i(x+a)): a width-``w`` cross-term pass."""
+    (ady, adx), (bdy, bdx) = a, b
+    body: ir.Expr = ir.TexFetch("acc")
+    for i in range(w):
+        body = ir.add(body, ir.add(
+            ir.dot4(ir.TexFetch(f"norm{i}", adx, ady),
+                    ir.TexFetch(f"logt{i}", bdx, bdy)),
+            ir.dot4(ir.TexFetch(f"norm{i}", bdx, bdy),
+                    ir.TexFetch(f"logt{i}", adx, ady))))
+    return FragmentShader(
+        name, body, samplers=("acc", *(f"norm{i}" for i in range(w)),
+                              *(f"logt{i}" for i in range(w))))
+
+
+def _sid_shader(name: str, a: tuple[int, int],
+                b: tuple[int, int]) -> FragmentShader:
+    """sid = max(h(x+a) + h(x+b) - cross, 0)."""
+    (ady, adx), (bdy, bdx) = a, b
+    return FragmentShader(
+        name,
+        ir.max_(ir.sub(ir.add(ir.TexFetch("h", adx, ady),
+                              ir.TexFetch("h", bdx, bdy)),
+                       ir.TexFetch("cross")),
+                ir.vec4(0.0)),
+        samplers=("h", "cross"))
+
+
+#: One gather fetch: (difference-map index, dy, dx).
+GatherRead = tuple[int, int, int]
+
+
+@lru_cache(maxsize=8)
+def _gather_plan(radius: int) -> tuple[tuple[tuple[GatherRead, ...], ...],
+                                       ...]:
+    """Per cumulative stream, its gather passes of difference-map reads.
+
+    ``plan[k][p]`` lists ``(map index, dy, dx)`` fetches: pair ``(a, b)``
+    contributes the map of ``o_b - o_a`` read at offset ``o_a``.  Stream
+    ``k`` receives its pairs in the paper loop's order — ``(j, k)`` for
+    ``j < k``, then ``(k, kb)`` for ``kb > k`` — split into passes of at
+    most :data:`GATHER_FETCHES` fetches.
+    """
+    offsets = se_offsets(radius)
+    index = {d: i for i, d in
+             enumerate(unique_difference_offsets(offsets))}
+
+    def read(a: int, b: int) -> GatherRead:
+        (ay, ax), (by, bx) = offsets[a], offsets[b]
+        return (index[(by - ay, bx - ax)], ay, ax)
+
+    plan = []
+    for k in range(len(offsets)):
+        reads = ([read(j, k) for j in range(k)]
+                 + [read(k, kb) for kb in range(k + 1, len(offsets))])
+        plan.append(tuple(tuple(reads[i:i + GATHER_FETCHES])
+                          for i in range(0, len(reads), GATHER_FETCHES)))
+    return tuple(plan)
+
+
 @lru_cache(maxsize=32)
-def _kernels(radius: int, eps: float,
-             widths: tuple[int, ...] = (1,)) -> dict[str, FragmentShader]:
+def _kernels(radius: int, eps: float, widths: tuple[int, ...] = (1,),
+             schedule: str = "reuse") -> dict[str, FragmentShader]:
     """Build every fragment program of the Fig. 4 pipeline.
 
     ``widths`` lists the fusion widths the reduction kernels are needed
     at: a width-w kernel binds w band-group textures (of each stream) and
     folds their contributions in a single pass, the way a real fp30
     implementation amortizes pass overheads until it runs out of texture
-    units.
+    units.  ``schedule`` selects the cumulative-distance kernels (see
+    :data:`SCHEDULES`); every other stage's kernels are shared.
     """
+    check_schedule(schedule)
     offsets = se_offsets(radius)
     shaders: dict[str, FragmentShader] = {}
     for w in widths:
@@ -185,35 +278,40 @@ def _kernels(radius: int, eps: float,
                       *(f"logt{i}" for i in range(w))))
 
     # --- cumulative distance stage -----------------------------------------
-    # One cross-term accumulator (per fusion width) and one SID-map kernel
-    # per unordered pair of SE offsets — the offsets are compile-time
-    # constants of the fragment program, exactly like a #define'd Cg
-    # kernel variant.
-    k_count = len(offsets)
-    for ka in range(k_count):
-        ady, adx = offsets[ka]
-        for kb in range(ka + 1, k_count):
-            bdy, bdx = offsets[kb]
+    # The SE offsets are compile-time constants of the fragment programs,
+    # exactly like a #define'd Cg kernel variant.
+    if schedule == "paper":
+        # One cross-term accumulator (per fusion width) and one SID-map
+        # kernel per unordered pair of SE offsets.
+        for ka, a in enumerate(offsets):
+            for kb in range(ka + 1, len(offsets)):
+                b = offsets[kb]
+                for w in widths:
+                    name = f"cross_{ka}_{kb}_w{w}"
+                    shaders[name] = _cross_shader(name, w, a, b)
+                shaders[f"sid_{ka}_{kb}"] = _sid_shader(
+                    f"sid_{ka}_{kb}", a, b)
+    else:
+        # One map per unique offset difference d: the pair kernels with
+        # a = 0 and b = d, so M_d(y) equals the (a, b) pair map at
+        # y = x + a wherever neither read clamps.
+        for i, d in enumerate(unique_difference_offsets(offsets)):
             for w in widths:
+                name = f"cross_d{i}_w{w}"
+                shaders[name] = _cross_shader(name, w, (0, 0), d)
+            shaders[f"sid_d{i}"] = _sid_shader(f"sid_d{i}", (0, 0), d)
+        # acc' = (((acc + M(x+o)) + M'(x+o')) + ...): one gather pass,
+        # left-associated so each addition rounds as a separate
+        # accumulate launch would.
+        for k, passes in enumerate(_gather_plan(radius)):
+            for p, reads in enumerate(passes):
                 body = ir.TexFetch("acc")
-                for i in range(w):
-                    body = ir.add(body, ir.add(
-                        ir.dot4(ir.TexFetch(f"norm{i}", adx, ady),
-                                ir.TexFetch(f"logt{i}", bdx, bdy)),
-                        ir.dot4(ir.TexFetch(f"norm{i}", bdx, bdy),
-                                ir.TexFetch(f"logt{i}", adx, ady))))
-                shaders[f"cross_{ka}_{kb}_w{w}"] = FragmentShader(
-                    f"cross_{ka}_{kb}_w{w}", body,
-                    samplers=("acc", *(f"norm{i}" for i in range(w)),
-                              *(f"logt{i}" for i in range(w))))
-            # sid = max(h(x+a) + h(x+b) - cross, 0)
-            shaders[f"sid_{ka}_{kb}"] = FragmentShader(
-                f"sid_{ka}_{kb}",
-                ir.max_(ir.sub(ir.add(ir.TexFetch("h", adx, ady),
-                                      ir.TexFetch("h", bdx, bdy)),
-                               ir.TexFetch("cross")),
-                        ir.vec4(0.0)),
-                samplers=("h", "cross"))
+                for i, dy, dx in reads:
+                    body = ir.add(body, ir.TexFetch(f"m{i}", dx, dy))
+                name = f"accum_k{k}_p{p}"
+                shaders[name] = FragmentShader(
+                    name, body, samplers=(
+                        "acc", *dict.fromkeys(f"m{i}" for i, _, _ in reads)))
     # acc' = acc + value: adds a pair's SID map into a cumulative stream.
     shaders["accum"] = FragmentShader(
         "accum",
@@ -301,20 +399,33 @@ class _PingPong:
 
 
 def _vram_chunk_plan(lines: int, samples: int, bands: int, radius: int,
-                     spec: GpuSpec, *, vram_fraction: float) -> ChunkPlan:
+                     spec: GpuSpec, *, vram_fraction: float,
+                     schedule: str) -> ChunkPlan:
     """Size chunks so the whole working set fits the board's VRAM.
 
     Per extended line the pipeline holds: the source stack, the
     normalized stack and the log stack (3G group textures), K cumulative
     streams, and ~10 scratch targets (sum/entropy/cross ping-pongs,
-    max/min state, MEI).
+    max/min state, MEI).  The reuse schedule adds its U unique-difference
+    maps, and its textures are ``samples + 2r`` wide and ``core + 2r``
+    lines tall: every chunk is padded (by real halo or by edge
+    replication) to r lines and columns on each side of its core.
     """
     groups = band_group_count(bands)
-    k_count = (2 * radius + 1) ** 2
-    textures_per_line = 3 * groups + k_count + 10
-    bytes_per_line = samples * TEXEL_BYTES * textures_per_line
+    offsets = se_offsets(radius)
+    textures_per_line = 3 * groups + len(offsets) + 10
+    width = samples
+    if schedule == "reuse":
+        textures_per_line += len(unique_difference_offsets(offsets))
+        width = samples + 2 * radius
+    bytes_per_line = width * TEXEL_BYTES * textures_per_line
     budget = int(spec.vram_bytes * vram_fraction)
     max_ext = max(budget // bytes_per_line, 1)
+    if schedule == "reuse" and max_ext < lines + 2 * radius:
+        # A padded chunk is core + 2r lines whatever its halos, so the
+        # planner's extended height is exactly the padded height — but
+        # the whole image fits in one chunk only with its 2r pad lines.
+        max_ext = min(max_ext, lines - 1)
     if max_ext < 2 * radius + 1:
         raise StreamError(
             f"{spec.name} VRAM ({spec.vram_bytes >> 20} MiB) cannot hold "
@@ -324,11 +435,102 @@ def _vram_chunk_plan(lines: int, samples: int, bands: int, radius: int,
                                 max_ext_lines=int(max_ext), halo=radius)
 
 
+def _chunk_padding(chunk: Chunk, radius: int,
+                   schedule: str) -> tuple[int, int, int]:
+    """(top, bottom, side) edge-replicated padding of one chunk.
+
+    The reuse schedule pads each chunk to ``r`` lines above and below
+    its core (the planner's halo where it has one, edge replication
+    where the image ends) and ``r`` columns on each side; the paper
+    schedule uploads the chunk as planned.
+    """
+    if schedule == "paper":
+        return 0, 0, 0
+    top, bottom = chunk.halo_margins
+    return radius - top, radius - bottom, radius
+
+
+def _cross_reduce(gpu: VirtualGPU, shaders, name: str, batches, norm, logt,
+                  cross: _PingPong) -> Texture2D:
+    """Zero ``cross`` and fold one pair's cross terms over the stack."""
+    cross.current.data[...] = 0.0
+    for start, width in batches:
+        bindings = {"acc": cross.current}
+        for i in range(width):
+            bindings[f"norm{i}"] = norm[start + i]
+            bindings[f"logt{i}"] = logt[start + i]
+        gpu.launch(shaders[f"{name}_w{width}"], cross.target, bindings)
+        cross.swap()
+    return cross.current
+
+
+def _paper_cumulative(gpu: VirtualGPU, shaders, batches, norm, logt,
+                      entropy: Texture2D, k_count: int) -> list[Texture2D]:
+    """Stage 3, paper schedule: a cross/SID/accumulate chain per pair."""
+    h, w = entropy.height, entropy.width
+    cumulative = [gpu.create_target(h, w, label=f"accum{k}")
+                  for k in range(k_count)]
+    cum_scratch = gpu.create_target(h, w, label="accum-scratch")
+    cross = _PingPong(gpu, h, w, "cross")
+    sid_map = gpu.create_target(h, w, label="sidmap")
+    for ka in range(k_count):
+        for kb in range(ka + 1, k_count):
+            cross_tex = _cross_reduce(gpu, shaders, f"cross_{ka}_{kb}",
+                                      batches, norm, logt, cross)
+            gpu.launch(shaders[f"sid_{ka}_{kb}"], sid_map,
+                       {"h": entropy, "cross": cross_tex})
+            # accumulate into both neighbours' cumulative streams
+            for k in (ka, kb):
+                gpu.launch(shaders["accum"], cum_scratch,
+                           {"acc": cumulative[k], "value": sid_map})
+                cumulative[k], cum_scratch = cum_scratch, cumulative[k]
+    cross.free()
+    gpu.free(sid_map, cum_scratch)
+    return cumulative
+
+
+def _reuse_cumulative(gpu: VirtualGPU, shaders, batches, norm, logt,
+                      entropy: Texture2D, radius: int) -> list[Texture2D]:
+    """Stage 3, reuse schedule: difference maps, then gather passes.
+
+    Each difference map is freed as soon as the last gather pass that
+    reads it has run.
+    """
+    h, w = entropy.height, entropy.width
+    plan = _gather_plan(radius)
+    cross = _PingPong(gpu, h, w, "cross")
+    maps = []
+    for i in range(len(unique_difference_offsets(se_offsets(radius)))):
+        cross_tex = _cross_reduce(gpu, shaders, f"cross_d{i}", batches,
+                                  norm, logt, cross)
+        maps.append(gpu.create_target(h, w, label=f"sidmap{i}"))
+        gpu.launch(shaders[f"sid_d{i}"], maps[i],
+                   {"h": entropy, "cross": cross_tex})
+    cross.free()
+
+    last_reader = {i: (k, p) for k, passes in enumerate(plan)
+                   for p, reads in enumerate(passes) for i, _, _ in reads}
+    cumulative = [gpu.create_target(h, w, label=f"accum{k}")
+                  for k in range(len(plan))]
+    cum_scratch = gpu.create_target(h, w, label="accum-scratch")
+    for k, passes in enumerate(plan):
+        for p, reads in enumerate(passes):
+            bindings = {"acc": cumulative[k]}
+            bindings.update({f"m{i}": maps[i] for i, _, _ in reads})
+            gpu.launch(shaders[f"accum_k{k}_p{p}"], cum_scratch, bindings)
+            cumulative[k], cum_scratch = cum_scratch, cumulative[k]
+            gpu.free(*(maps[i] for i, _, _ in reads
+                       if last_reader[i] == (k, p)))
+    gpu.free(cum_scratch)
+    return cumulative
+
+
 def gpu_morphological_stage(cube_bip: np.ndarray, radius: int = 1, *,
                             spec: GpuSpec = GEFORCE_7800GTX,
                             device: VirtualGPU | None = None,
                             vram_fraction: float = 0.85,
-                            fuse_groups: int = 6) -> GpuAmcOutput:
+                            fuse_groups: int = 6,
+                            schedule: str = "reuse") -> GpuAmcOutput:
     """Run stages 1-6 of the stream AMC pipeline on a virtual GPU.
 
     Parameters
@@ -349,11 +551,17 @@ def gpu_morphological_stage(cube_bip: np.ndarray, radius: int = 1, *,
         by the 16-texture-unit budget; 6 is the maximum for the widest
         kernel).  1 reproduces the unfused one-group-per-pass pipeline —
         the configuration the fusion ablation bench compares against.
+    schedule:
+        Pass schedule of the cumulative-distance stage (see
+        :data:`SCHEDULES`): ``"reuse"`` (default) or ``"paper"``, the
+        schedule Tables 4-5 time.  The outputs are bit-identical; the
+        launches, transfers and modeled time differ.
 
     Returns
     -------
     GpuAmcOutput
     """
+    check_schedule(schedule)
     cube_bip = np.asarray(cube_bip)
     if cube_bip.ndim != 3:
         raise ShapeError(f"expected (H, W, N), got ndim={cube_bip.ndim}")
@@ -366,10 +574,10 @@ def gpu_morphological_stage(cube_bip: np.ndarray, radius: int = 1, *,
     groups = band_group_count(bands)
     batches = _batches(groups, fuse_groups)
     widths = tuple(sorted({w for _, w in batches}))
-    shaders = _kernels(radius, eps, widths)
+    shaders = _kernels(radius, eps, widths, schedule)
 
     plan = _vram_chunk_plan(lines, samples, bands, radius, gpu.spec,
-                            vram_fraction=vram_fraction)
+                            vram_fraction=vram_fraction, schedule=schedule)
 
     mei = np.empty((lines, samples), dtype=np.float32)
     erosion = np.empty((lines, samples), dtype=np.int64)
@@ -385,11 +593,15 @@ def gpu_morphological_stage(cube_bip: np.ndarray, radius: int = 1, *,
     lut = gpu.upload(lut_img, label="offset-lut")
 
     for chunk in plan:
-        h = chunk.ext_lines
-        w = samples
+        top, bottom, side = _chunk_padding(chunk, radius, schedule)
+        block = chunk.extract(cube_bip)
+        if top or bottom or side:
+            block = np.pad(block, ((top, bottom), (side, side), (0, 0)),
+                           mode="edge")
+        h, w = block.shape[:2]
         # ---- stage 1: stream uploading --------------------------------
         src = [gpu.upload(t, label=f"src{g}")
-               for g, t in enumerate(pack_bands(chunk.extract(cube_bip)))]
+               for g, t in enumerate(pack_bands(block))]
 
         # ---- stage 2: normalization ------------------------------------
         total = _PingPong(gpu, h, w, "bandsum")
@@ -425,32 +637,12 @@ def gpu_morphological_stage(cube_bip: np.ndarray, radius: int = 1, *,
             entropy.swap()
 
         # ---- stage 3: cumulative distances -----------------------------
-        cumulative = [gpu.create_target(h, w, label=f"accum{k}")
-                      for k in range(k_count)]
-        cum_scratch = gpu.create_target(h, w, label="accum-scratch")
-        cross = _PingPong(gpu, h, w, "cross")
-        sid_map = gpu.create_target(h, w, label="sidmap")
-        for ka in range(k_count):
-            for kb in range(ka + 1, k_count):
-                # cross terms over the whole stack (ping-pong reduce)
-                cross.current.data[...] = 0.0
-                for start, width in batches:
-                    bindings = {"acc": cross.current}
-                    for i in range(width):
-                        bindings[f"norm{i}"] = norm[start + i]
-                        bindings[f"logt{i}"] = logt[start + i]
-                    gpu.launch(shaders[f"cross_{ka}_{kb}_w{width}"],
-                               cross.target, bindings)
-                    cross.swap()
-                gpu.launch(shaders[f"sid_{ka}_{kb}"], sid_map,
-                           {"h": entropy.current, "cross": cross.current})
-                # accumulate into both neighbours' cumulative streams
-                for k in (ka, kb):
-                    gpu.launch(shaders["accum"], cum_scratch,
-                               {"acc": cumulative[k], "value": sid_map})
-                    cumulative[k], cum_scratch = cum_scratch, cumulative[k]
-        cross.free()
-        gpu.free(sid_map, cum_scratch)
+        if schedule == "paper":
+            cumulative = _paper_cumulative(gpu, shaders, batches, norm, logt,
+                                           entropy.current, k_count)
+        else:
+            cumulative = _reuse_cumulative(gpu, shaders, batches, norm, logt,
+                                           entropy.current, radius)
 
         # ---- stage 4: maximum and minimum ------------------------------
         state = _PingPong(gpu, h, w, "mmstate")
@@ -485,11 +677,14 @@ def gpu_morphological_stage(cube_bip: np.ndarray, radius: int = 1, *,
         mei_host = gpu.download_scalar(mei_tex)
 
         core = slice(chunk.core_start, chunk.core_stop)
-        mei[core] = chunk.core_of(mei_host)
-        dilation[core] = chunk.core_of(
-            np.rint(state_host[:, :, 1]).astype(np.int64))
-        erosion[core] = chunk.core_of(
-            np.rint(state_host[:, :, 3]).astype(np.int64))
+        rows = slice(top + chunk.core_offset,
+                     top + chunk.core_offset + chunk.core_lines)
+        cols = slice(side, side + samples)
+        mei[core] = mei_host[rows, cols]
+        dilation[core] = np.rint(
+            state_host[rows, cols, 1]).astype(np.int64)
+        erosion[core] = np.rint(
+            state_host[rows, cols, 3]).astype(np.int64)
 
         gpu.free(*norm, *logt, mei_tex)
         entropy.free()

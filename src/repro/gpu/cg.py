@@ -157,8 +157,9 @@ def emit_pipeline_kernels(radius: int = 1, fuse_groups: int = 6,
                           bands: int = 224) -> dict[str, str]:
     """Emit Cg source for every kernel of the AMC stream pipeline.
 
-    Convenience for inspection/export: the same shader set
-    :func:`repro.core.amc_gpu.gpu_morphological_stage` launches.
+    Convenience for inspection/export: the paper's Fig. 4 shader set,
+    the one :func:`repro.core.amc_gpu.gpu_morphological_stage` launches
+    with ``schedule="paper"``.
     """
     from repro.core.amc_gpu import _batches, _kernels
     from repro.gpu.texture import band_group_count
@@ -166,5 +167,5 @@ def emit_pipeline_kernels(radius: int = 1, fuse_groups: int = 6,
 
     groups = band_group_count(bands)
     widths = tuple(sorted({w for _, w in _batches(groups, fuse_groups)}))
-    shaders = _kernels(radius, SpectralEpsilon.get(), widths)
+    shaders = _kernels(radius, SpectralEpsilon.get(), widths, "paper")
     return {name: emit_cg(shader) for name, shader in shaders.items()}

@@ -71,18 +71,19 @@ class LaunchTiming:
 class CostModel:
     """Evaluates kernel and transfer costs for one :class:`GpuSpec`.
 
-    ``cache_kernel_costs`` memoizes :meth:`kernel_cost` per shader
-    object — the cost is a pure function of the (immutable) shader, so
-    the modeled numbers are unchanged; only the per-launch IR walk is
-    skipped.  The fused device path enables it; the ``optimize="none"``
-    oracle keeps the historical walk-every-launch behaviour.
+    ``cache_kernel_costs`` memoizes :meth:`kernel_cost` on the shader
+    object itself (:meth:`FragmentShader.derived
+    <repro.gpu.shader.FragmentShader.derived>`) — the cost is a pure
+    function of the (immutable) shader, so the modeled numbers are
+    unchanged; only the per-launch IR walk is skipped, and the cached
+    cost serves every device that launches the shader.  The fused device
+    path enables it; the ``optimize="none"`` oracle keeps the historical
+    walk-every-launch behaviour.
     """
 
     def __init__(self, spec: GpuSpec, *, cache_kernel_costs: bool = False):
         self.spec = spec
         self._cache_kernel_costs = cache_kernel_costs
-        # id -> (shader, cost); the shader ref keeps the id stable.
-        self._kernel_costs: dict[int, tuple[FragmentShader, KernelCost]] = {}
 
     # ------------------------------------------------------------- kernels
     @staticmethod
@@ -116,11 +117,7 @@ class CostModel:
         """:meth:`kernel_cost`, through the per-shader cache if enabled."""
         if not self._cache_kernel_costs:
             return self.kernel_cost(shader)
-        entry = self._kernel_costs.get(id(shader))
-        if entry is None or entry[0] is not shader:
-            entry = (shader, self.kernel_cost(shader))
-            self._kernel_costs[id(shader)] = entry
-        return entry[1]
+        return shader.derived("kernel_cost", self.kernel_cost)
 
     def _timing(self, cost: KernelCost, width: int,
                 height: int) -> LaunchTiming:

@@ -46,7 +46,9 @@ class FragmentShader:
     body: ir.Expr
     samplers: tuple[str, ...] = ()
     uniforms: tuple[str, ...] = ()
-    _stats: dict = field(default_factory=dict, repr=False, compare=False)
+    # Derived static facts of the (immutable) program: the validation
+    # statistics and, once priced, its cost-model entry.
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -109,7 +111,7 @@ class FragmentShader:
             raise ShaderValidationError(
                 f"shader {self.name!r} declares unused uniforms "
                 f"{sorted(unused_uniforms)}")
-        self._stats["stats"] = ShaderStats(
+        self._derived["stats"] = ShaderStats(
             instruction_count=n_instr,
             static_fetches=n_static,
             dynamic_fetches=n_dyn,
@@ -120,4 +122,16 @@ class FragmentShader:
     @property
     def stats(self) -> ShaderStats:
         """Static statistics computed at validation time."""
-        return self._stats["stats"]
+        return self._derived["stats"]
+
+    def derived(self, key: str, compute):
+        """``compute(self)``, evaluated once per shader and kept with it.
+
+        For pure functions of the program (the cost model's per-fragment
+        price): the value then follows the shader to every device and
+        cost model that launches it instead of being rebuilt per device.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = compute(self)
+        return value

@@ -49,7 +49,33 @@ class Expr:
 
     __slots__ = ()
 
+    def __getstate__(self):
+        # The cached structural hash stays behind: str hashes are salted
+        # per process, so another interpreter must recompute it.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
+
+def _hash_once(cls):
+    """Cache a frozen node's structural hash on first use.
+
+    The dataclass hash of a node hashes its fields, and so its whole
+    subtree; an interpreter memo lookup would re-walk the tree every
+    time.  Nodes are immutable, so the value is computed once and kept
+    in the instance.  Equality is the dataclass's, unchanged.
+    """
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = structural(self)
+        return cached
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Const(Expr):
     """A literal float4 (scalars are splatted to all four lanes)."""
@@ -67,6 +93,7 @@ class Const(Expr):
             tuple(float(v) for v in self.values))  # reprolint: disable=dtype-discipline
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Uniform(Expr):
     """A float4 program parameter bound at launch time."""
@@ -74,6 +101,7 @@ class Uniform(Expr):
     name: str
 
 
+@_hash_once
 @dataclass(frozen=True)
 class TexFetch(Expr):
     """Sample ``sampler`` at (fragment + (dx, dy)), clamp-to-edge.
@@ -90,6 +118,7 @@ class TexFetch(Expr):
         object.__setattr__(self, "dy", int(self.dy))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class TexFetchDyn(Expr):
     """Dependent fetch: sample ``sampler`` at an absolute texel coordinate
@@ -100,6 +129,7 @@ class TexFetchDyn(Expr):
     coord: Expr
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Op(Expr):
     """A lane-wise unary or binary operation."""
@@ -124,6 +154,7 @@ class Op(Expr):
                     f"{self.op} operand {a!r} is not an Expr")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Dot(Expr):
     """DP4: sum over lanes of a*b, broadcast to all lanes."""
@@ -132,6 +163,7 @@ class Dot(Expr):
     b: Expr
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Swizzle(Expr):
     """Lane shuffle, e.g. ``Swizzle(v, "xxxx")`` broadcasts lane x."""
@@ -150,6 +182,7 @@ class Swizzle(Expr):
         return tuple(_SWIZZLE_LANES[c] for c in self.pattern)  # type: ignore
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Combine(Expr):
     """Build a float4 from the x lanes of four expressions."""
@@ -160,6 +193,7 @@ class Combine(Expr):
     w: Expr
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Select(Expr):
     """Per-lane blend: where ``cond`` != 0 take ``if_true`` else
@@ -170,6 +204,7 @@ class Select(Expr):
     if_false: Expr
 
 
+@_hash_once
 @dataclass(frozen=True)
 class FragCoord(Expr):
     """The fragment's own integer texel coordinate as a float4

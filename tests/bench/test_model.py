@@ -20,26 +20,56 @@ from repro.cpu import GCC40, ICC90, PENTIUM4_NORTHWOOD, PRESCOTT_660
 from repro.gpu import GEFORCE_7800GTX, GEFORCE_FX5950U
 
 
+COUNTER_CASES = [((14, 13, 18), 6), ((10, 9, 7), 3), ((8, 8, 4), 1)]
+
+
+def assert_projection_matches(cube, spec, schedule, radius=1, fuse=6):
+    out = gpu_morphological_stage(cube, radius, spec=spec, fuse_groups=fuse,
+                                  schedule=schedule)
+    proj = project_gpu_time(spec, *cube.shape, radius, fuse_groups=fuse,
+                            schedule=schedule)
+    assert proj.launches == out.counters["kernel_launches"]
+    assert proj.chunks == out.chunk_count
+    assert proj.total_s == pytest.approx(out.modeled_time_s, rel=1e-12)
+    assert proj.kernel_s == pytest.approx(out.counters["kernel_time_s"],
+                                          rel=1e-12)
+    return out, proj
+
+
 class TestProjectionMatchesExecution:
-    @pytest.mark.parametrize("shape,fuse", [((14, 13, 18), 6),
-                                            ((10, 9, 7), 3),
-                                            ((8, 8, 4), 1)])
+    @pytest.mark.parametrize("shape,fuse", COUNTER_CASES)
     def test_counter_equality(self, shape, fuse):
         cube = np.random.default_rng(1).uniform(0.1, 1.0, shape)
-        out = gpu_morphological_stage(cube, fuse_groups=fuse)
-        proj = project_gpu_time(GEFORCE_7800GTX, *shape, fuse_groups=fuse)
-        assert proj.launches == out.counters["kernel_launches"]
-        assert proj.total_s == pytest.approx(out.modeled_time_s, rel=1e-12)
-        assert proj.kernel_s == pytest.approx(out.counters["kernel_time_s"],
-                                              rel=1e-12)
+        assert_projection_matches(cube, GEFORCE_7800GTX, "paper", fuse=fuse)
 
     def test_counter_equality_with_chunking(self):
         cube = np.random.default_rng(2).uniform(0.1, 1.0, (16, 10, 12))
         spec = GEFORCE_7800GTX.with_(vram_bytes=48 * 1024)
-        out = gpu_morphological_stage(cube, spec=spec)
-        proj = project_gpu_time(spec, 16, 10, 12)
+        out, proj = assert_projection_matches(cube, spec, "paper")
         assert out.chunk_count == proj.chunks > 1
-        assert proj.total_s == pytest.approx(out.modeled_time_s, rel=1e-12)
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("shape,fuse", COUNTER_CASES)
+    def test_counter_equality_reuse(self, shape, fuse, radius):
+        cube = np.random.default_rng(1).uniform(0.1, 1.0, shape)
+        assert_projection_matches(cube, GEFORCE_7800GTX, "reuse",
+                                  radius=radius, fuse=fuse)
+
+    def test_counter_equality_with_chunking_reuse(self):
+        cube = np.random.default_rng(2).uniform(0.1, 1.0, (16, 10, 12))
+        spec = GEFORCE_7800GTX.with_(vram_bytes=48 * 1024)
+        out, proj = assert_projection_matches(cube, spec, "reuse")
+        assert out.chunk_count == proj.chunks > 1
+
+    def test_default_projection_is_the_paper_schedule(self):
+        """Tables 4-5 price the paper's kernels unless asked otherwise."""
+        paper = project_gpu_time(GEFORCE_7800GTX, 64, 64, 32, 2,
+                                 schedule="paper")
+        assert project_gpu_time(GEFORCE_7800GTX, 64, 64, 32, 2) == paper
+        reuse = project_gpu_time(GEFORCE_7800GTX, 64, 64, 32, 2,
+                                 schedule="reuse")
+        assert reuse.launches < paper.launches
+        assert reuse.total_s < paper.total_s
 
     def test_catalogue_structure(self):
         catalogue = launch_catalogue(bands=24, fuse_groups=6)
@@ -107,3 +137,18 @@ class TestPaperRatios:
         icc = platform_matrix(pts, cpu_build=ICC90)["P4 C"]
         gains = np.array(gcc) / np.array(icc)
         assert np.all(gains > 1.2) and np.all(gains < 3.0)
+
+
+class TestReuseBeyondPaper:
+    """The reuse schedule's projection at the Tables 4-5 sizes — the
+    beyond-paper rows of docs/performance.md."""
+
+    @pytest.mark.parametrize("board", [GEFORCE_FX5950U, GEFORCE_7800GTX],
+                             ids=["fx5950", "7800gtx"])
+    def test_faster_than_paper_at_every_size(self, board):
+        for p in paper_size_points():
+            paper = project_gpu_time(board, p.lines, p.samples, p.bands)
+            reuse = project_gpu_time(board, p.lines, p.samples, p.bands,
+                                     schedule="reuse")
+            assert reuse.launches < paper.launches
+            assert 1.4 < paper.total_s / reuse.total_s < 2.5

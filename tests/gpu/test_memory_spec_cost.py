@@ -169,3 +169,28 @@ class TestCostModel:
         agp = CostModel(GEFORCE_FX5950U).transfer_time(10 ** 8)
         pcie = CostModel(GEFORCE_7800GTX).transfer_time(10 ** 8)
         assert agp > pcie
+
+    def test_kernel_cost_priced_once_across_devices(self, monkeypatch):
+        """The cached cost lives on the shader: a fresh device (as every
+        run_amc builds) reuses it, and the modeled time is unchanged."""
+        import numpy as np
+
+        from repro.gpu import VirtualGPU
+
+        walks = []
+        walk = CostModel.kernel_cost
+        monkeypatch.setattr(CostModel, "kernel_cost", staticmethod(
+            lambda shader: walks.append(shader.name) or walk(shader)))
+        shader = self._shader()
+        times = []
+        for optimize in ("fuse", "fuse", "none"):
+            device = VirtualGPU(GEFORCE_7800GTX, optimize=optimize)
+            a = device.upload(np.ones((4, 5, 4)))
+            b = device.upload(np.ones((4, 5, 4)))
+            target = device.create_target(4, 5)
+            for _ in range(2):
+                device.launch(shader, target, {"a": a, "b": b})
+            times.append(device.counters.kernel_time_s)
+        # once for both fused devices, then every launch of the oracle
+        assert walks == ["k"] * 3
+        assert times[0] == times[1] == times[2]

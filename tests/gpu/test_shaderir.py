@@ -88,3 +88,34 @@ class TestWalk:
         assert ir.children(ir.vec4(1.0)) == ()
         assert ir.children(ir.Uniform("u")) == ()
         assert ir.children(ir.TexFetch("t")) == ()
+
+
+class TestStructuralHash:
+    def _tree(self):
+        leaf = ir.dot4(ir.TexFetch("a", 1, 0), ir.Uniform("u"))
+        return ir.select(ir.cmp_gt(leaf, 0.0),
+                         ir.Combine(leaf, leaf, ir.FragCoord(), leaf),
+                         ir.Swizzle(ir.TexFetchDyn("b", leaf), "xxxx"))
+
+    def test_equal_trees_hash_and_compare_equal(self):
+        a, b = self._tree(), self._tree()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != ir.add(a, 1.0)
+
+    def test_hash_computed_once(self):
+        """Hashing a node caches the hash of every node below it, so a
+        memo lookup never re-walks a subtree."""
+        node = self._tree()
+        first = hash(node)
+        assert all("_hash" in n.__dict__ for n in ir.walk(node))
+        assert hash(node) == first
+
+    def test_pickle_drops_the_cached_hash(self):
+        import pickle
+
+        node = self._tree()
+        hash(node)
+        clone = pickle.loads(pickle.dumps(node))
+        assert "_hash" not in clone.__dict__
+        assert clone == node and hash(clone) == hash(node)

@@ -51,24 +51,39 @@ class TestGoldenBitIdentity:
         assert result.report.overall_accuracy == 62.77777777777778
         assert result.report.kappa == 0.5176096478070439
 
+    #: Device accounting of the default (shift-reuse) schedule, per
+    #: worker count; the parametrized values below are the paper
+    #: schedule's, which the same outputs must reproduce.
+    REUSE_ACCOUNTING = {1: (73.0, 0.003617032953488371),
+                        2: (131.0, 0.005684040558139536)}
+
     @pytest.mark.parametrize("n_workers,launches,modeled_time_s", [
         (1, 184.0, 0.0058574061395348835),
         (2, 353.0, 0.010143319240697678),
     ])
     def test_gpu_unmixing_path(self, golden_scene, n_workers, launches,
                                modeled_time_s):
-        config = AMCConfig(n_classes=5, backend="gpu", gpu_unmixing=True,
-                           n_workers=n_workers)
-        result = run_amc(golden_scene.cube, config,
-                         ground_truth=golden_scene.ground_truth)
-        assert sha(result.mei) == "313e9dbe50fa516c"
-        assert sha(result.labels) == "5cd97718ec41de52"
-        assert sha(result.abundances) == "10f577b9e122dbf5"
-        assert result.report.overall_accuracy == 69.16666666666667
-        # accounting covers morphology *and* the device tail; with two
-        # workers each chunk ran its own board (redundant halo work)
-        assert result.gpu_output.counters["kernel_launches"] == launches
-        assert result.gpu_output.modeled_time_s == modeled_time_s
+        from repro.backends.builtin import GpuBackend
+
+        accounting = {"reuse": self.REUSE_ACCOUNTING[n_workers],
+                      "paper": (launches, modeled_time_s)}
+        for schedule, (pinned_launches, pinned_time) in accounting.items():
+            # the registered "gpu" backend runs the reuse schedule
+            backend = ("gpu" if schedule == "reuse"
+                       else GpuBackend(schedule=schedule))
+            config = AMCConfig(n_classes=5, backend=backend,
+                               gpu_unmixing=True, n_workers=n_workers)
+            result = run_amc(golden_scene.cube, config,
+                             ground_truth=golden_scene.ground_truth)
+            assert sha(result.mei) == "313e9dbe50fa516c"
+            assert sha(result.labels) == "5cd97718ec41de52"
+            assert sha(result.abundances) == "10f577b9e122dbf5"
+            assert result.report.overall_accuracy == 69.16666666666667
+            # accounting covers morphology *and* the device tail; with two
+            # workers each chunk ran its own board (redundant halo work)
+            counters = result.gpu_output.counters
+            assert counters["kernel_launches"] == pinned_launches, schedule
+            assert result.gpu_output.modeled_time_s == pinned_time, schedule
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_naive_backend(self, n_workers):

@@ -433,21 +433,25 @@ def measure_fusion() -> dict:
     The acceptance bar asserted here: >= 1.5x on every radius with
     byte-identical outputs.
     """
+    from repro.backends.builtin import GpuBackend
     from repro.core import AMCConfig, run_amc
     from repro.core.mei import mei_reference
 
     cube = np.random.default_rng(SEED).uniform(
         0.05, 1.0, size=(LINES, SAMPLES, BANDS))
+    # The paper's pass schedule, the one these rows were first recorded
+    # on, so they stay comparable across versions.
+    paper = GpuBackend(schedule="paper")
 
     radii = []
     for radius, repeats in ((1, REPEATS), (2, REPEATS), (3, 2)):
         none_s, none_out = _best_of(
             lambda: run_amc(cube, AMCConfig(
-                n_classes=5, backend="gpu", se_radius=radius,
+                n_classes=5, backend=paper, se_radius=radius,
                 optimize="none")), repeats)
         fuse_s, fuse_out = _best_of(
             lambda: run_amc(cube, AMCConfig(
-                n_classes=5, backend="gpu", se_radius=radius)), repeats)
+                n_classes=5, backend=paper, se_radius=radius)), repeats)
         assert _fusion_sha(fuse_out) == _fusion_sha(none_out)
         counters = fuse_out.gpu_output.counters
         radii.append({
@@ -528,12 +532,15 @@ def measure_fusion() -> dict:
 def measure_fusion_smoke() -> dict:
     """CI-sized fusion check: tiny cube, one repeat, no file written.
 
-    Asserts the two fusion contracts cheaply — end-to-end ``run_amc``
-    bit identity between ``optimize="fuse"`` and the oracle, and the
-    stream compiler shrinking launches without changing a byte — so a
-    fusion regression fails the workflow in seconds, leaving the full
-    ``fusion`` target for release measurements.
+    Asserts the fusion contracts cheaply — end-to-end ``run_amc`` bit
+    identity between ``optimize="fuse"`` and the oracle, between the gpu
+    backend's shift-reuse schedule and the paper's per-pair schedule
+    (radii 1-2, with fewer launches), and the stream compiler shrinking
+    launches without changing a byte — so a regression fails the
+    workflow in seconds, leaving the full ``fusion`` target for release
+    measurements.
     """
+    from repro.backends.builtin import GpuBackend
     from repro.core import AMCConfig, run_amc
     from repro.gpu.device import VirtualGPU
     from repro.stream import GpuExecutor, Stream, optimize as opt_graph
@@ -550,6 +557,18 @@ def measure_fusion_smoke() -> dict:
     fuse_s, fuse_out = _best_of(
         lambda: run_amc(cube, AMCConfig(n_classes=3, backend="gpu")), 1)
     assert _fusion_sha(fuse_out) == _fusion_sha(none_out)
+
+    reuse_launches = []
+    for radius in (1, 2):
+        reuse, paper = [run_amc(cube, AMCConfig(
+            n_classes=3, se_radius=radius,
+            backend=GpuBackend(schedule=schedule)))
+            for schedule in ("reuse", "paper")]
+        assert _fusion_sha(reuse) == _fusion_sha(paper)
+        launches = [out.gpu_output.counters["kernel_launches"]
+                    for out in (reuse, paper)]
+        assert launches[0] < launches[1]
+        reuse_launches.append(launches)
 
     graph = build_normalization_graph(bands)
     unfused = opt_graph(graph, fuse=False)
@@ -575,6 +594,7 @@ def measure_fusion_smoke() -> dict:
         "fuse_wall_s": round(fuse_s, 6),
         "launches_unfused": oracle_dev.counters.kernel_launch_count,
         "launches_fused": fused_dev.counters.kernel_launch_count,
+        "reuse_vs_paper_launches": reuse_launches,
     }
 
 
@@ -649,7 +669,12 @@ def main(argv=None) -> None:
               f"(none {record['none_wall_s']}s, "
               f"fuse {record['fuse_wall_s']}s); stream compiler "
               f"{record['launches_unfused']} -> "
-              f"{record['launches_fused']} launches")
+              f"{record['launches_fused']} launches; reuse schedule "
+              f"bit-identical to paper at radii 1-2 ("
+              + ", ".join(f"{int(paper)} -> {int(reuse)}"
+                          for reuse, paper in
+                          record["reuse_vs_paper_launches"])
+              + " launches)")
         return
     else:
         raise SystemExit(f"unknown bench target {target!r}; "

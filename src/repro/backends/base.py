@@ -126,22 +126,11 @@ class MorphologicalBackend:
     supports_trace: bool = False
     #: Whether :meth:`run_chunk` accepts a ``halo_margins=(top,
     #: bottom)`` keyword — the chunk-parallel executor then tells the
-    #: backend which extended-region rows are discarded halo, so the
-    #: cross-chunk shift-reuse can skip border corrections a
-    #: neighbouring chunk already owns.
+    #: backend which extended-region rows are discarded halo, so it
+    #: can skip work a neighbouring chunk already owns (the reference
+    #: engine's border corrections, the gpu reuse schedule's edge
+    #: padding).
     accepts_halo_margins: bool = False
-
-    def configured(self, *, optimize: str = "fuse"
-                   ) -> "MorphologicalBackend":
-        """A backend instance with execution knobs applied.
-
-        Registered backends are shared singletons, so knob application
-        returns a (possibly new) instance instead of mutating.  The
-        base implementation ignores every knob — correct for backends
-        with no fused path, where ``optimize`` selects between
-        bit-identical strategies that do not exist.
-        """
-        return self
 
     def run(self, bip: np.ndarray, radius: int, *, spec=None,
             device=None) -> MorphologyResult:

@@ -32,22 +32,15 @@ class ReferenceBackend(MorphologicalBackend):
     name = "reference"
     accepts_halo_margins = True
 
-    def __init__(self, method: str = "shift",
-                 optimize: str = "fuse") -> None:
+    def __init__(self, method: str = "shift") -> None:
         self.method = method
-        self.optimize = optimize
-
-    def configured(self, *, optimize: str = "fuse"):
-        """Same method, requested ``optimize`` mode."""
-        return ReferenceBackend(method=self.method, optimize=optimize)
 
     def run(self, bip, radius, *, spec=None, device=None):
         """Whole-image morphological stage via the vectorized pair
         maps."""
         from repro.core.mei import mei_reference
 
-        out = mei_reference(bip, radius, method=self.method,
-                            optimize=self.optimize)
+        out = mei_reference(bip, radius, method=self.method)
         stats = None if out.stats is None else out.stats.as_counters()
         return MorphologyResult(mei=out.mei,
                                 erosion_index=out.erosion_index,
@@ -59,17 +52,15 @@ class ReferenceBackend(MorphologicalBackend):
         """One halo-extended chunk, with cross-chunk shift-reuse.
 
         ``halo_margins`` names the extended-region rows the stitcher
-        will discard (a neighbouring chunk owns them); the fused engine
-        skips border corrections confined to those rows and counts them
-        as ``border_pixels_shared``.  Core rows are bit-identical
-        either way.
+        will discard (a neighbouring chunk owns them); the shift-reuse
+        engine skips border corrections confined to those rows and
+        counts them as ``border_pixels_shared``.  Core rows are
+        bit-identical to a whole-image run.
         """
         from repro.core.mei import mei_reference
 
         out = mei_reference(bip, radius, method=self.method,
-                            optimize=self.optimize,
-                            halo_margins=halo_margins
-                            if self.optimize == "fuse" else (0, 0))
+                            halo_margins=halo_margins)
         stats = None if out.stats is None else out.stats.as_counters()
         return ChunkResult(mei=out.mei.astype(self.mei_dtype, copy=False),
                            erosion_index=out.erosion_index,
@@ -107,21 +98,16 @@ class GpuBackend(MorphologicalBackend):
     mei_dtype = np.float32
     supports_device_unmixing = True
     supports_trace = True
+    accepts_halo_margins = True
 
-    def __init__(self, optimize: str = "fuse",
-                 schedule: str = "reuse") -> None:
+    def __init__(self, schedule: str = "reuse") -> None:
         if schedule != "reuse":
             # checked here, not at run time; the registry's default
             # instance skips the import (see the module docstring)
             from repro.core.amc_gpu import check_schedule
 
             check_schedule(schedule)
-        self.optimize = optimize
         self.schedule = schedule
-
-    def configured(self, *, optimize: str = "fuse"):
-        """Same schedule, boards in the requested ``optimize`` mode."""
-        return GpuBackend(optimize=optimize, schedule=self.schedule)
 
     def _resolve_device(self, spec, device):
         if device is not None:
@@ -129,8 +115,7 @@ class GpuBackend(MorphologicalBackend):
         from repro.gpu.device import VirtualGPU
         from repro.gpu.spec import GEFORCE_7800GTX
 
-        return VirtualGPU(GEFORCE_7800GTX if spec is None else spec,
-                          optimize=self.optimize)
+        return VirtualGPU(GEFORCE_7800GTX if spec is None else spec)
 
     def run(self, bip, radius, *, spec=None, device=None):
         """Whole-image stream pipeline on one virtual board.
@@ -150,15 +135,21 @@ class GpuBackend(MorphologicalBackend):
                                 dilation_index=out.dilation_index,
                                 accounting=out, device=dev)
 
-    def run_chunk(self, bip, radius, *, spec=None):
+    def run_chunk(self, bip, radius, *, spec=None, halo_margins=(0, 0)):
         """One chunk on its own board — the multi-board reading of the
         paper's decomposition; ships the upload/compute/download split
-        and the board's accounting for summation."""
+        and the board's accounting for summation.
+
+        ``halo_margins`` rows are real image context, so the reuse
+        schedule edge-pads only the lines of its ``r``-line frame they
+        do not already supply.
+        """
         from repro.core.amc_gpu import gpu_morphological_stage
 
         device = self._resolve_device(spec, None)
         out = gpu_morphological_stage(bip, radius, device=device,
-                                      schedule=self.schedule)
+                                      schedule=self.schedule,
+                                      halo_margins=halo_margins)
         counters = device.counters
         split = (counters.upload_time_s, counters.kernel_time_s,
                  counters.download_time_s)

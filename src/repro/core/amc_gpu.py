@@ -435,19 +435,27 @@ def _vram_chunk_plan(lines: int, samples: int, bands: int, radius: int,
                                 max_ext_lines=int(max_ext), halo=radius)
 
 
-def _chunk_padding(chunk: Chunk, radius: int,
-                   schedule: str) -> tuple[int, int, int]:
+def _chunk_padding(chunk: Chunk, radius: int, schedule: str, *,
+                   lines: int = 0,
+                   halo_margins: tuple[int, int] = (0, 0)
+                   ) -> tuple[int, int, int]:
     """(top, bottom, side) edge-replicated padding of one chunk.
 
     The reuse schedule pads each chunk to ``r`` lines above and below
-    its core (the planner's halo where it has one, edge replication
-    where the image ends) and ``r`` columns on each side; the paper
-    schedule uploads the chunk as planned.
+    its core and ``r`` columns on each side.  Real context counts
+    towards the ``r`` lines: the planner's halo and, on the first and
+    last chunk of a ``lines``-line chunk-parallel piece, the piece's
+    ``halo_margins``; edge replication fills only what is missing.  The
+    paper schedule uploads the chunk as planned.
     """
     if schedule == "paper":
         return 0, 0, 0
     top, bottom = chunk.halo_margins
-    return radius - top, radius - bottom, radius
+    if chunk.ext_start == 0:
+        top += halo_margins[0]
+    if chunk.ext_stop == lines:
+        bottom += halo_margins[1]
+    return max(radius - top, 0), max(radius - bottom, 0), radius
 
 
 def _cross_reduce(gpu: VirtualGPU, shaders, name: str, batches, norm, logt,
@@ -530,7 +538,9 @@ def gpu_morphological_stage(cube_bip: np.ndarray, radius: int = 1, *,
                             device: VirtualGPU | None = None,
                             vram_fraction: float = 0.85,
                             fuse_groups: int = 6,
-                            schedule: str = "reuse") -> GpuAmcOutput:
+                            schedule: str = "reuse",
+                            halo_margins: tuple[int, int] = (0, 0)
+                            ) -> GpuAmcOutput:
     """Run stages 1-6 of the stream AMC pipeline on a virtual GPU.
 
     Parameters
@@ -556,6 +566,13 @@ def gpu_morphological_stage(cube_bip: np.ndarray, radius: int = 1, *,
         :data:`SCHEDULES`): ``"reuse"`` (default) or ``"paper"``, the
         schedule Tables 4-5 time.  The outputs are bit-identical; the
         launches, transfers and modeled time differ.
+    halo_margins:
+        ``(top, bottom)`` rows of ``cube_bip`` that are a chunk-parallel
+        piece's discarded halo (a neighbouring piece owns them).  The
+        reuse schedule counts them as real context and edge-pads only
+        the lines they leave missing; **the returned arrays are then
+        only valid outside the margins**.  Must be ``(0, 0)`` — the
+        default — for whole images.
 
     Returns
     -------
@@ -593,7 +610,9 @@ def gpu_morphological_stage(cube_bip: np.ndarray, radius: int = 1, *,
     lut = gpu.upload(lut_img, label="offset-lut")
 
     for chunk in plan:
-        top, bottom, side = _chunk_padding(chunk, radius, schedule)
+        top, bottom, side = _chunk_padding(chunk, radius, schedule,
+                                           lines=lines,
+                                           halo_margins=halo_margins)
         block = chunk.extract(cube_bip)
         if top or bottom or side:
             block = np.pad(block, ((top, bottom), (side, side), (0, 0)),

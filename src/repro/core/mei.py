@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.pairreuse import (PairReuseEngine, PairReuseStats,
-                                  check_optimize, gather_mei)
+                                  gather_mei)
 from repro.core.shifts import clamped_shift
 from repro.errors import ShapeError, ValidationError
 from repro.spectral.distances import sid_self_entropy
@@ -141,7 +141,7 @@ def _pair_maps_loop(normalized: np.ndarray, offsets, log_img: np.ndarray,
 
 def cumulative_distances(normalized: np.ndarray, radius: int = 1,
                          *, return_pair_maps: bool = False,
-                         method: str = "shift", optimize: str = "fuse"):
+                         method: str = "shift"):
     """Cumulative SID distance of every SE neighbour at every pixel.
 
     Parameters
@@ -161,11 +161,6 @@ PairReuseEngine.pair_map` instead, as :func:`mei_reference` does).
         ``"shift"`` (default) evaluates one map per unique offset
         difference and shifts it into every pair (bit-identical);
         ``"pairs"`` runs the historical all-pairs loop.
-    optimize:
-        ``"fuse"`` (default) runs the shift engine's fused fast path
-        (region accumulation, strided shifted copies); ``"none"``
-        keeps the historical engine paths.  Byte-identical either way;
-        ignored by ``method="pairs"``.
 
     Returns
     -------
@@ -175,7 +170,6 @@ PairReuseEngine.pair_map` instead, as :func:`mei_reference` does).
         coordinates clamped to the image.
     """
     _check_method(method)
-    check_optimize(optimize)
     normalized = np.asarray(normalized, dtype=np.float64)
     if normalized.ndim != 3:
         raise ShapeError(f"expected (H, W, N), got ndim={normalized.ndim}")
@@ -190,7 +184,7 @@ PairReuseEngine.pair_map` instead, as :func:`mei_reference` does).
             keep_maps=return_pair_maps)
     else:
         engine = PairReuseEngine(normalized, offsets, log_img=log_img,
-                                 entropy=entropy, optimize=optimize)
+                                 entropy=entropy)
         cumulative = engine.accumulate_cumulative()
         pair_maps = {}
         if return_pair_maps:
@@ -205,7 +199,7 @@ PairReuseEngine.pair_map` instead, as :func:`mei_reference` does).
 
 def mei_reference(cube_bip: np.ndarray, radius: int = 1, *,
                   prenormalized: bool = False,
-                  method: str = "shift", optimize: str = "fuse",
+                  method: str = "shift",
                   halo_margins: tuple[int, int] = (0, 0)
                   ) -> MorphologicalOutput:
     """Full morphological stage on the CPU (vectorized reference).
@@ -223,14 +217,9 @@ def mei_reference(cube_bip: np.ndarray, radius: int = 1, *,
         :class:`~repro.core.pairreuse.PairReuseEngine` fast path;
         ``"pairs"`` the all-pairs loop.  Bit-identical outputs either
         way.
-    optimize:
-        ``"fuse"`` (default) enables the engine's fused fast paths
-        (region accumulation, strided shifted copies, the sorted MEI
-        gather); ``"none"`` keeps the historical engine paths.
-        Byte-identical either way; ignored by ``method="pairs"``.
     halo_margins:
         ``(top, bottom)`` rows that are this image's discarded chunk
-        halo — a neighbouring chunk owns them.  On the fused path,
+        halo — a neighbouring chunk owns them.  On the shift path,
         border bands falling entirely inside a margin are skipped and
         counted as ``border_pixels_shared``; **the returned arrays are
         then only valid outside the margins** (the chunk stitcher
@@ -242,7 +231,6 @@ def mei_reference(cube_bip: np.ndarray, radius: int = 1, *,
     MorphologicalOutput
     """
     _check_method(method)
-    check_optimize(optimize)
     cube_bip = np.asarray(cube_bip)
     if cube_bip.ndim != 3:
         raise ShapeError(f"expected (H, W, N), got ndim={cube_bip.ndim}")
@@ -262,15 +250,11 @@ def mei_reference(cube_bip: np.ndarray, radius: int = 1, *,
     if method == "pairs":
         cumulative, pair_maps = _pair_maps_loop(
             normalized, offsets, log_img, entropy, keep_maps=True)
-
-        def pair_map(ka: int, kb: int) -> np.ndarray:
-            return pair_maps[(ka, kb)]
     else:
         engine = PairReuseEngine(normalized, offsets, log_img=log_img,
-                                 entropy=entropy, optimize=optimize,
+                                 entropy=entropy,
                                  halo_margins=halo_margins)
         cumulative = engine.accumulate_cumulative()
-        pair_map = engine.pair_map
 
     erosion_index = np.argmin(cumulative, axis=2)
     dilation_index = np.argmax(cumulative, axis=2)
@@ -278,14 +262,13 @@ def mei_reference(cube_bip: np.ndarray, radius: int = 1, *,
     # MEI(x) = SID(f(x + a_dil), f(x + a_ero)) — exactly the pair map of
     # the (erosion, dilation) index pair, gathered per pixel for the
     # pairs that actually occur.
-    if engine is not None and optimize == "fuse":
+    stats = None
+    if engine is None:
+        mei, _ = gather_mei(erosion_index, dilation_index,
+                            lambda ka, kb: pair_maps[(ka, kb)], k_count)
+    else:
         mei, gathered = engine.gather_mei_fast(erosion_index,
                                                dilation_index)
-    else:
-        mei, gathered = gather_mei(erosion_index, dilation_index,
-                                   pair_map, k_count)
-    stats = None
-    if engine is not None:
         engine.count_mei_pairs(gathered)
         stats = engine.stats()
     return MorphologicalOutput(mei=mei, erosion_index=erosion_index,

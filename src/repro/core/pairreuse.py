@@ -68,23 +68,6 @@ from repro.spectral.normalize import safe_log
 
 Offset = tuple[int, int]
 
-#: Optimization levels shared by every layer that exposes the knob
-#: (engine, :func:`repro.core.mei.mei_reference`, the workload configs):
-#: ``"fuse"`` (default) enables the fused fast paths — strided shifted
-#: copies, region-wise accumulation without per-pair map
-#: materialization, the sorted MEI gather, and cross-chunk border
-#: sharing; ``"none"`` is the bit-identical oracle that executes the
-#: historical (post-shift-reuse) code paths unchanged.
-OPTIMIZE_MODES = ("fuse", "none")
-
-
-def check_optimize(optimize: str) -> None:
-    """Validate an ``optimize`` knob value (shared by all layers)."""
-    if optimize not in OPTIMIZE_MODES:
-        raise ValidationError(
-            f"optimize must be one of {OPTIMIZE_MODES}, got {optimize!r}")
-
-
 def unique_difference_offsets(
         offsets: Iterable[Offset]) -> tuple[Offset, ...]:
     """The distinct ``b - a`` differences over all ordered pairs
@@ -195,17 +178,10 @@ class PairReuseEngine:
         Optional precomputed ``safe_log(normalized)`` and
         ``sid_self_entropy(normalized)`` so callers that already hold
         them (the reference, the CPU build models) pay no re-log.
-    optimize:
-        ``"fuse"`` (default) routes :meth:`accumulate_cumulative`
-        through the fused fast path — strided shifted copies, region
-        adds that never materialize a per-pair map, a shared
-        border-band cache — and enables :meth:`gather_mei_fast`;
-        ``"none"`` executes the historical shift-reuse paths unchanged
-        (the bit-identity oracle).  Both produce byte-identical output.
     halo_margins:
         ``(top, bottom)`` image rows that belong to a neighbouring
         chunk's core (this chunk's discarded halo).  Border bands that
-        lie entirely inside a margin are skipped on the fused path —
+        lie entirely inside a margin are skipped —
         the neighbour computes those pixels once, inside its own
         interior — and counted as ``border_pixels_shared``.  The
         cumulative values of margin rows are then partial; callers must
@@ -221,9 +197,7 @@ class PairReuseEngine:
     def __init__(self, normalized: np.ndarray, offsets: Iterable[Offset],
                  *, log_img: np.ndarray | None = None,
                  entropy: np.ndarray | None = None,
-                 optimize: str = "fuse",
                  halo_margins: tuple[int, int] = (0, 0)) -> None:
-        check_optimize(optimize)
         normalized = np.asarray(normalized, dtype=np.float64)
         if normalized.ndim != 3:
             raise ShapeError(
@@ -244,7 +218,6 @@ class PairReuseEngine:
         self._zero_reusable = (self._p is self._p_raw
                                and self._l is self._l_raw)
         self.offsets = tuple(offsets)
-        self.optimize = optimize
         top_m, bottom_m = halo_margins
         if top_m < 0 or bottom_m < 0:
             raise ValidationError(
@@ -275,13 +248,9 @@ class PairReuseEngine:
         if cached is not None:
             return cached
         dy, dx = d
-        # shifted_copy produces byte-identical values in byte-identical
-        # layout (fresh C-contiguous), just without the fancy-indexing
-        # gather; the oracle keeps the historical gather.
-        shift = shifted_copy if self.optimize == "fuse" else clamped_shift
-        p_d = shift(self._p, dy, dx)
-        l_d = shift(self._l, dy, dx)
-        h_d = shift(self._h, dy, dx)
+        p_d = shifted_copy(self._p, dy, dx)
+        l_d = shifted_copy(self._l, dy, dx)
+        h_d = shifted_copy(self._h, dy, dx)
         # Same arithmetic as the all-pairs reference with a = 0, b = d:
         # cross = (p_a . l_b) + (p_b . l_a); sid = max(h_a + h_b -
         # cross, 0).
@@ -339,8 +308,8 @@ class PairReuseEngine:
                   hi: int) -> np.ndarray:
         """Cached SID values of one border band of pair ``(ka, kb)`` —
         the same arithmetic :meth:`_recompute_band` applies, kept as an
-        array so the fused accumulate and the fused MEI gather share
-        one evaluation per band."""
+        array so the region-wise accumulate and MEI gather share one
+        evaluation per band."""
         key = (ka, kb, axis, lo, hi)
         cached = self._sid_bands.get(key)
         if cached is not None:
@@ -478,33 +447,16 @@ class PairReuseEngine:
 
         Accumulation runs in a (K, H, W) scratch so every add hits a
         contiguous slab; per-element float addition is layout-blind, so
-        the transposed result is still bit-identical.
-
-        On the fused path (``optimize="fuse"``) no per-pair map is
-        materialized at all: each pair's three regions — interior
-        (a strided slice of the cached difference map), row band, col
+        the transposed result is still bit-identical.  No per-pair map
+        is materialized: each pair's three regions — interior (a
+        strided slice of the cached difference map), row band, col
         band — are added straight into the scratch.  Every element
-        still receives exactly one addition of exactly the same value
-        per pair, in the same pair order, so the result is
-        byte-identical to the materializing path.
+        receives exactly one addition of exactly the :meth:`pair_map`
+        value per pair, in the same pair order.
         """
         h, w = self._shape
         k_count = len(self.offsets)
         scratch = np.zeros((k_count, h, w), dtype=np.float64)
-        if self.optimize == "fuse":
-            self._accumulate_fast(scratch)
-        else:
-            for ka in range(k_count):
-                for kb in range(ka + 1, k_count):
-                    sid_map = self.pair_map(ka, kb)
-                    np.add(scratch[ka], sid_map, out=scratch[ka])
-                    np.add(scratch[kb], sid_map, out=scratch[kb])
-        return np.ascontiguousarray(scratch.transpose(1, 2, 0))
-
-    def _accumulate_fast(self, scratch: np.ndarray) -> None:
-        """Region-wise pair accumulation — the fused fast path."""
-        h, w = self._shape
-        k_count = len(self.offsets)
         for ka in range(k_count):
             a = self.offsets[ka]
             for kb in range(ka + 1, k_count):
@@ -540,14 +492,15 @@ class PairReuseEngine:
                         lo, hi, values = col_band
                         region = tgt[:, lo:hi]
                         np.add(region, values, out=region)
+        return np.ascontiguousarray(scratch.transpose(1, 2, 0))
 
     def gather_mei_fast(self, erosion_index: np.ndarray,
                         dilation_index: np.ndarray
                         ) -> tuple[np.ndarray, int]:
-        """Fused equivalent of :func:`gather_mei`: one stable argsort
-        over the packed pair codes, then per-segment pointwise reads of
-        the pair map's three regions — no per-code boolean mask scans
-        and no materialized pair maps.
+        """Region-wise equivalent of :func:`gather_mei`: one stable
+        argsort over the packed pair codes, then per-segment pointwise
+        reads of the pair map's three regions — no per-code boolean
+        mask scans and no materialized pair maps.
 
         Byte-identical to ``gather_mei(ero, dil, self.pair_map, K)``:
         every pixel receives exactly the value :meth:`pair_map` holds

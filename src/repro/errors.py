@@ -23,6 +23,15 @@ class ValidationError(ReproError, ValueError):
     catching the failure as a plain value problem."""
 
 
+class UnknownConfigKeyError(ValidationError, TypeError):
+    """A workload request names config keys its config type lacks.
+
+    Raised at admission by :meth:`repro.workloads.Workload.as_config`;
+    the message names the unknown keys.  Subclasses :class:`TypeError`
+    as well, the error an unknown dataclass keyword raises in plain
+    Python."""
+
+
 class ShapeError(ReproError, ValueError):
     """An array argument has the wrong number of dimensions or extents."""
 

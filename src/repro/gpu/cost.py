@@ -71,19 +71,16 @@ class LaunchTiming:
 class CostModel:
     """Evaluates kernel and transfer costs for one :class:`GpuSpec`.
 
-    ``cache_kernel_costs`` memoizes :meth:`kernel_cost` on the shader
-    object itself (:meth:`FragmentShader.derived
-    <repro.gpu.shader.FragmentShader.derived>`) — the cost is a pure
-    function of the (immutable) shader, so the modeled numbers are
-    unchanged; only the per-launch IR walk is skipped, and the cached
-    cost serves every device that launches the shader.  The fused device
-    path enables it; the ``optimize="none"`` oracle keeps the historical
-    walk-every-launch behaviour.
+    Launch costs memoize :meth:`kernel_cost` on the shader object itself
+    (:meth:`FragmentShader.derived
+    <repro.gpu.shader.FragmentShader.derived>`): the cost is a pure
+    function of the (immutable) shader, so only the per-launch IR walk
+    is skipped, and the cached cost serves every device that launches
+    the shader.
     """
 
-    def __init__(self, spec: GpuSpec, *, cache_kernel_costs: bool = False):
+    def __init__(self, spec: GpuSpec):
         self.spec = spec
-        self._cache_kernel_costs = cache_kernel_costs
 
     # ------------------------------------------------------------- kernels
     @staticmethod
@@ -114,9 +111,7 @@ class CostModel:
                           dynamic_fetches=stats.dynamic_fetches)
 
     def _cost_of(self, shader: FragmentShader) -> KernelCost:
-        """:meth:`kernel_cost`, through the per-shader cache if enabled."""
-        if not self._cache_kernel_costs:
-            return self.kernel_cost(shader)
+        """:meth:`kernel_cost`, through the per-shader cache."""
         return shader.derived("kernel_cost", self.kernel_cost)
 
     def _timing(self, cost: KernelCost, width: int,

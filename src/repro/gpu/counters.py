@@ -49,10 +49,6 @@ class GpuCounters:
     #: Render-to-texture passes that executed inside a composite (fused)
     #: kernel instead of as their own launch (stream-graph fusion).
     passes_fused: int = 0
-    #: Full-extent intermediate arrays never materialized: the
-    #: interpreter's per-launch scratch on the fused device path plus
-    #: one per intermediate texture elided by stream-graph fusion.
-    temporaries_elided: int = 0
 
     # ------------------------------------------------------------ recording
     def record_launch(self, record: KernelLaunchRecord) -> None:
@@ -61,18 +57,15 @@ class GpuCounters:
     def record_transfer(self, record: TransferRecord) -> None:
         self.transfers.append(record)
 
-    def record_fusion(self, *, passes_fused: int = 0,
-                      temporaries_elided: int = 0) -> None:
-        """Account work the fused paths avoided doing."""
+    def record_fusion(self, *, passes_fused: int) -> None:
+        """Account render passes a fused launch folded away."""
         self.passes_fused += passes_fused
-        self.temporaries_elided += temporaries_elided
 
     def reset(self) -> None:
         """Clear all recorded activity."""
         self.launches.clear()
         self.transfers.clear()
         self.passes_fused = 0
-        self.temporaries_elided = 0
 
     # ----------------------------------------------------------- aggregates
     @property
@@ -147,5 +140,4 @@ class GpuCounters:
             "download_time_s": self.download_time_s,
             "total_time_s": self.total_time_s,
             "passes_fused": float(self.passes_fused),
-            "temporaries_elided": float(self.temporaries_elided),
         }

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pairreuse import check_optimize
 from repro.errors import ShaderError
 from repro.gpu.cost import CostModel
 from repro.gpu.counters import GpuCounters, KernelLaunchRecord, TransferRecord
-from repro.gpu.interpreter import execute, execute_fused_lazy, execute_lazy
+from repro.gpu.interpreter import execute_fused_lazy, execute_lazy
 from repro.gpu.memory import VramAllocator
 from repro.gpu.shader import FragmentShader
 from repro.gpu.spec import GEFORCE_7800GTX, GpuSpec
@@ -38,14 +37,6 @@ class VirtualGPU:
     spec:
         The board to simulate; defaults to the paper's flagship
         (GeForce 7800 GTX).
-    optimize:
-        ``"fuse"`` (default) runs launches through the interpreter's
-        fused fast path — strided fixed-offset fetches, the per-launch
-        scratch temporary elided (results broadcast straight into the
-        target texture), kernel costs cached per shader.  ``"none"``
-        keeps the historical per-launch behaviour as the bit-identity
-        oracle.  Texel values, launch records and modeled times are
-        identical either way.
 
     Notes
     -----
@@ -55,14 +46,10 @@ class VirtualGPU:
     given spec would take for the recorded work.
     """
 
-    def __init__(self, spec: GpuSpec = GEFORCE_7800GTX, *,
-                 optimize: str = "fuse"):
-        check_optimize(optimize)
+    def __init__(self, spec: GpuSpec = GEFORCE_7800GTX):
         self.spec = spec
-        self.optimize = optimize
         self.vram = VramAllocator(spec.vram_bytes)
-        self.cost_model = CostModel(spec,
-                                    cache_kernel_costs=optimize == "fuse")
+        self.cost_model = CostModel(spec)
         self.counters = GpuCounters()
 
     # ------------------------------------------------------------ textures
@@ -115,17 +102,10 @@ class VirtualGPU:
         """
         self._check_bindings(shader.name, target, textures)
         arrays = {name: tex.data for name, tex in textures.items()}
-        if self.optimize == "fuse":
-            # The raw evaluation broadcasts straight into the target —
-            # the interpreter's full-extent scratch copy never exists.
-            result = execute_lazy(shader, target.height, target.width,
-                                  arrays, uniforms, fast_fetch=True)
-            target.data[...] = result
-            self.counters.record_fusion(temporaries_elided=1)
-        else:
-            result = execute(shader, target.height, target.width, arrays,
-                             uniforms)
-            target.data[...] = result
+        # The raw evaluation broadcasts straight into the target — the
+        # interpreter's full-extent scratch copy never exists.
+        target.data[...] = execute_lazy(shader, target.height,
+                                        target.width, arrays, uniforms)
 
         cost, timing = self.cost_model.launch_time(
             shader, target.width, target.height)
@@ -173,23 +153,14 @@ class VirtualGPU:
         never pay a render-target write.  One launch record is
         appended, whose cycle and fetch counts sum the members' (the
         work still happens) while timing charges a single target write
-        and launch overhead.  Valid in both ``optimize`` modes — the
-        graph was fused by the stream compiler, not the device; the
-        device mode only selects the interpreter's fetch fast path.
+        and launch overhead.
         """
         self._check_bindings(kernel.name, target, textures)
         arrays = {name: tex.data for name, tex in textures.items()}
-        result = execute_fused_lazy(
+        target.data[...] = execute_fused_lazy(
             kernel.part_shaders, kernel.part_names, target.height,
-            target.width, arrays, uniforms,
-            fast_fetch=self.optimize == "fuse")
-        target.data[...] = result
-        # fused_count - 1 intermediate textures never materialized, plus
-        # the interpreter scratch when the fused fetch path is on.
-        self.counters.record_fusion(
-            passes_fused=kernel.fused_count - 1,
-            temporaries_elided=kernel.fused_count - 1
-            + (1 if self.optimize == "fuse" else 0))
+            target.width, arrays, uniforms)
+        self.counters.record_fusion(passes_fused=kernel.fused_count - 1)
 
         cost, timing = self.cost_model.fused_launch_time(
             kernel.part_shaders, target.width, target.height)

@@ -6,12 +6,10 @@ arrays, so the *data* computed is bit-comparable to what a real float32
 fragment pipeline produces while remaining fast enough to process
 realistic scenes on one CPU core.
 
-Clamp-to-edge addressing is implemented with clipped index arrays; the
-row/column index vectors are cached per (extent, offset) so repeated
-fixed-offset fetches (the overwhelmingly common case in the AMC kernels)
-cost one fancy-indexing gather each — or, on the fused fast path
-(``optimize="fuse"``), a strided interior copy with broadcast edge
-bands that yields byte-identical texels several times faster.
+Clamp-to-edge fixed-offset fetches (the overwhelmingly common case in
+the AMC kernels) are :func:`repro.core.shifts.shifted_copy` calls: a
+strided interior copy with broadcast edge bands, the same texels a
+clipped-index gather yields, several times faster.
 
 Shared subtrees are evaluated once per launch via a *structurally*
 keyed memo (IR nodes are immutable and hashable), mirroring the
@@ -24,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.shifts import clamped_indices, shifted_copy
+from repro.core.shifts import shifted_copy
 from repro.errors import ShaderError
 from repro.gpu import shaderir as ir
 from repro.gpu.shader import FragmentShader
@@ -32,42 +30,22 @@ from repro.gpu.shader import FragmentShader
 _F32 = np.float32
 
 
-def _fetch_static(texture: np.ndarray, dx: int, dy: int,
-                  fast: bool = False) -> np.ndarray:
+def _fetch_static(texture: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """Clamp-to-edge fetch at constant offset; zero offset is a no-copy
-    view.
-
-    The clipped index vectors come from the shared, cached
-    :func:`repro.core.shifts.clamped_indices` helper — the same
-    addressing every CPU implementation uses.  ``fast`` routes through
-    :func:`repro.core.shifts.shifted_copy` instead: byte-identical
-    texels from strided copies rather than a fancy-indexing gather."""
-    if dx == 0 and dy == 0:
-        return texture
-    if fast:
-        return shifted_copy(texture, dy, dx)
-    h, w = texture.shape[:2]
-    rows = clamped_indices(h, dy)
-    cols = clamped_indices(w, dx)
-    return texture[np.ix_(rows, cols)]
+    view."""
+    return shifted_copy(texture, dy, dx)
 
 
 class ShaderContext:
-    """Bindings for one launch: textures, uniforms and the target size.
-
-    ``fast_fetch`` selects the strided fixed-offset fetch (the device's
-    ``optimize="fuse"`` mode); texel values are identical either way.
-    """
+    """Bindings for one launch: textures, uniforms and the target size."""
 
     def __init__(self, height: int, width: int,
                  textures: dict[str, np.ndarray],
-                 uniforms: dict[str, np.ndarray],
-                 fast_fetch: bool = False):
+                 uniforms: dict[str, np.ndarray]):
         self.height = height
         self.width = width
         self.textures = textures
         self.uniforms = uniforms
-        self.fast_fetch = fast_fetch
         self._fragcoord: np.ndarray | None = None
 
     def fragcoord(self) -> np.ndarray:
@@ -102,8 +80,7 @@ def _eval_uncached(node: ir.Expr, ctx: ShaderContext,
     if isinstance(node, ir.FragCoord):
         return ctx.fragcoord()
     if isinstance(node, ir.TexFetch):
-        return _fetch_static(ctx.textures[node.sampler], node.dx, node.dy,
-                             fast=ctx.fast_fetch)
+        return _fetch_static(ctx.textures[node.sampler], node.dx, node.dy)
     if isinstance(node, ir.TexFetchDyn):
         coord = _eval(node.coord, ctx, memo)
         tex = ctx.textures[node.sampler]
@@ -217,8 +194,8 @@ def execute(shader: FragmentShader, height: int, width: int,
 
 def execute_lazy(shader: FragmentShader, height: int, width: int,
                  textures: dict[str, np.ndarray],
-                 uniforms: dict[str, np.ndarray] | None = None,
-                 *, fast_fetch: bool = False) -> np.ndarray:
+                 uniforms: dict[str, np.ndarray] | None = None
+                 ) -> np.ndarray:
     """Like :func:`execute` but returns the raw evaluation result.
 
     The values are the same float32 texels; the array may be smaller
@@ -227,12 +204,11 @@ def execute_lazy(shader: FragmentShader, height: int, width: int,
     own the final materialization — :meth:`VirtualGPU.launch
     <repro.gpu.device.VirtualGPU.launch>` broadcasts the result into
     the target texture directly, eliding the interpreter's scratch
-    temporary on the device's ``optimize="fuse"`` path.
+    temporary.
     """
     tex_arrays = _coerce_textures(shader.name, shader.samplers, textures)
     uni_arrays = _coerce_uniforms(shader.name, shader.uniforms, uniforms)
-    ctx = ShaderContext(height, width, tex_arrays, uni_arrays,
-                        fast_fetch=fast_fetch)
+    ctx = ShaderContext(height, width, tex_arrays, uni_arrays)
     memo: dict[ir.Expr, np.ndarray] = {}
     return _eval(shader.body, ctx, memo)
 
@@ -276,8 +252,8 @@ def _coerce_uniforms(kernel: str, declared, uniforms) -> dict[str, np.ndarray]:
 
 def execute_fused_lazy(part_shaders, part_names, height: int, width: int,
                        textures: dict[str, np.ndarray],
-                       uniforms: dict[str, np.ndarray] | None = None,
-                       *, fast_fetch: bool = False) -> np.ndarray:
+                       uniforms: dict[str, np.ndarray] | None = None
+                       ) -> np.ndarray:
     """Evaluate a fused kernel's parts under one shared context.
 
     ``part_shaders`` / ``part_names`` come from a
@@ -301,8 +277,7 @@ def execute_fused_lazy(part_shaders, part_names, height: int, width: int,
     tex_arrays = _coerce_textures(label, dict.fromkeys(external), textures)
     uni_arrays = _coerce_uniforms(label, dict.fromkeys(declared), uniforms)
 
-    ctx = ShaderContext(height, width, tex_arrays, uni_arrays,
-                        fast_fetch=fast_fetch)
+    ctx = ShaderContext(height, width, tex_arrays, uni_arrays)
     memo: dict[ir.Expr, np.ndarray] = {}
     for shader, name in zip(part_shaders[:-1], part_names[:-1]):
         part = np.empty((height, width, 4), dtype=_F32)

@@ -24,10 +24,7 @@ See ``docs/parallel.md`` for the architecture and the correctness
 argument.
 """
 
-from repro.parallel.amc import (
-    combine_gpu_accounting,
-    parallel_morphological_stage,
-)
+from repro.parallel.amc import parallel_morphological_stage
 from repro.parallel.map import parallel_pixel_map
 from repro.parallel.pool import (
     resolve_workers,
@@ -36,7 +33,6 @@ from repro.parallel.pool import (
 )
 
 __all__ = [
-    "combine_gpu_accounting",
     "parallel_morphological_stage",
     "parallel_pixel_map",
     "resolve_workers",

@@ -37,11 +37,9 @@ from dataclasses import replace
 import numpy as np
 
 from repro.backends import MorphologicalBackend, get_backend
-from repro.core.amc_gpu import GpuAmcOutput
 from repro.core.pairreuse import sum_reuse_counters
 from repro.errors import GpuOutOfMemoryError, ShapeError
 from repro.faults import maybe_inject
-from repro.gpu.counters import GpuCounters
 from repro.gpu.spec import GEFORCE_7800GTX, GpuSpec
 from repro.hsi.chunking import plan_chunks_by_lines
 from repro.parallel.pool import resolve_workers, run_tasks
@@ -68,9 +66,8 @@ def _morph_chunk(chunk):
     sub = bip[chunk.ext_start:chunk.ext_stop]
     start = time.perf_counter()
     if backend.accepts_halo_margins:
-        # Tell the backend which rows are discarded halo so the fused
-        # engine can skip border corrections the neighbouring chunk
-        # already computes in its core (cross-chunk shift-reuse).
+        # Tell the backend which rows are discarded halo so it can skip
+        # work the neighbouring chunk already does in its core.
         piece = backend.run_chunk(sub, radius, spec=spec,
                                   halo_margins=chunk.halo_margins)
     else:
@@ -88,19 +85,6 @@ def _morph_chunk(chunk):
                   for a in (piece.mei, piece.erosion_index,
                             piece.dilation_index))
     return chunk.index, cores, record, piece.accounting, piece.stats
-
-
-def combine_gpu_accounting(morph: GpuAmcOutput,
-                           extra: GpuCounters) -> GpuAmcOutput:
-    """Fold further device activity into a morphological-stage output.
-
-    Used when the tail stages (GPU unmixing) ran on a *different*
-    device than the — possibly many, parallel — morphological boards:
-    returns a new :class:`GpuAmcOutput` whose accounting covers both.
-    Thin wrapper over
-    :meth:`~repro.core.amc_gpu.GpuAmcOutput.with_accounting`.
-    """
-    return morph.with_accounting(extra, add=True)
 
 
 def parallel_morphological_stage(bip: np.ndarray, radius: int = 1, *,
@@ -150,7 +134,8 @@ def parallel_morphological_stage(bip: np.ndarray, radius: int = 1, *,
     (mei, erosion_index, dilation_index, gpu_output)
         Stitched full-image maps, bit-identical to the serial
         implementations; ``gpu_output`` is the summed
-        :class:`GpuAmcOutput` for device backends, else ``None``.
+        :class:`~repro.core.amc_gpu.GpuAmcOutput` for device backends,
+        else ``None``.
     """
     bip = np.asarray(bip)
     if bip.ndim != 3:

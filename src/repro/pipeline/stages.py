@@ -94,10 +94,9 @@ class MorphologyStage(Stage):
             # Pass-fusion accounting of the device path (summed across
             # workers by stitched_accounting on parallel runs).
             summary = gpu_output.counters
-            profiler.record_stage_counters(self.name, {
-                key: summary[key]
-                for key in ("passes_fused", "temporaries_elided")
-                if key in summary})
+            if "passes_fused" in summary:
+                profiler.record_stage_counters(
+                    self.name, {"passes_fused": summary["passes_fused"]})
         ctx.update(mei=mei, erosion_index=ero, dilation_index=dil,
                    gpu_output=gpu_output, device=device)
 
@@ -148,8 +147,7 @@ class UnmixingStage(Stage):
                 # tail gets its own device and the accounting is summed
                 from repro.gpu.device import VirtualGPU
 
-                device = VirtualGPU(config.gpu_spec,
-                                    optimize=config.optimize)
+                device = VirtualGPU(config.gpu_spec)
             unmix_out = gpu_unmix_classify(bip, endmembers.spectra,
                                            device=device,
                                            return_abundances=True)

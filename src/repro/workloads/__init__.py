@@ -27,6 +27,7 @@ See ``docs/workloads.md`` for the contract and a worked example of
 registering a new algorithm.
 """
 
+from repro.errors import UnknownConfigKeyError
 from repro.workloads.amc import AMCWorkload
 from repro.workloads.base import (
     DEFAULT_EXECUTION_KNOBS,
@@ -79,6 +80,7 @@ __all__ = [
     "ReductionResult",
     "RxWorkload",
     "SamWorkload",
+    "UnknownConfigKeyError",
     "Workload",
     "get_workload",
     "project_components",

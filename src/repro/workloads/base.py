@@ -29,10 +29,11 @@ Implementations live beside this module (``amc``, ``detection``,
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
+from repro.errors import UnknownConfigKeyError
 from repro.pipeline.runner import Pipeline
 from repro.profiling.profiler import Profiler
 
@@ -40,7 +41,7 @@ from repro.profiling.profiler import Profiler
 #: shared by every built-in workload (and the historical
 #: ``repro.serving.EXECUTION_KNOBS``).
 DEFAULT_EXECUTION_KNOBS = frozenset(
-    {"n_workers", "max_retries", "chunk_timeout_s", "optimize"})
+    {"n_workers", "max_retries", "chunk_timeout_s"})
 
 
 def run_pixel_kernel(bip: np.ndarray, kernel, payload, *, config,
@@ -118,8 +119,9 @@ class Workload:
         """Coerce ``params`` (None | mapping | config_type) to a config.
 
         A mapping is splatted into the dataclass constructor, so
-        unknown keys and invalid values fail here — at admission —
-        rather than inside a worker.
+        unknown keys (:class:`~repro.errors.UnknownConfigKeyError`) and
+        invalid values fail here — at admission — rather than inside a
+        worker.
         """
         if self.config_type is None:  # pragma: no cover - abstract use
             raise NotImplementedError(f"workload {self.name!r} declares "
@@ -128,7 +130,14 @@ class Workload:
             return self.config_type()
         if isinstance(params, self.config_type):
             return params
-        return self.config_type(**dict(params))
+        params = dict(params)
+        known = {f.name for f in fields(self.config_type) if f.init}
+        unknown = sorted(set(params) - known)
+        if unknown:
+            raise UnknownConfigKeyError(
+                f"workload {self.name!r} has no config keys {unknown}; "
+                f"known keys: {sorted(known)}")
+        return self.config_type(**params)
 
     def canonical_params(self, params) -> dict:
         """The result-affecting parameters of ``params``, as a plain

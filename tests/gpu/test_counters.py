@@ -78,7 +78,7 @@ class TestAggregation:
             "kernel_launches", "fragments_shaded", "texture_fetches",
             "bytes_uploaded", "bytes_downloaded", "kernel_time_s",
             "transfer_time_s", "upload_time_s", "download_time_s",
-            "total_time_s", "passes_fused", "temporaries_elided"}
+            "total_time_s", "passes_fused"}
 
     def test_reset(self, counters):
         counters.reset()

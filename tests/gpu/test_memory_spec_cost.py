@@ -183,14 +183,17 @@ class TestCostModel:
             lambda shader: walks.append(shader.name) or walk(shader)))
         shader = self._shader()
         times = []
-        for optimize in ("fuse", "fuse", "none"):
-            device = VirtualGPU(GEFORCE_7800GTX, optimize=optimize)
+        for _ in range(3):
+            device = VirtualGPU(GEFORCE_7800GTX)
             a = device.upload(np.ones((4, 5, 4)))
             b = device.upload(np.ones((4, 5, 4)))
             target = device.create_target(4, 5)
             for _ in range(2):
                 device.launch(shader, target, {"a": a, "b": b})
             times.append(device.counters.kernel_time_s)
-        # once for both fused devices, then every launch of the oracle
-        assert walks == ["k"] * 3
+        # once, on the first launch of the first device
+        assert walks == ["k"]
         assert times[0] == times[1] == times[2]
+        # the cached cost prices a launch exactly as a fresh walk does
+        model = CostModel(GEFORCE_7800GTX)
+        assert times[0] == 2 * model._timing(walk(shader), 5, 4).total_s

@@ -53,9 +53,10 @@ class TestGoldenBitIdentity:
 
     #: Device accounting of the default (shift-reuse) schedule, per
     #: worker count; the parametrized values below are the paper
-    #: schedule's, which the same outputs must reproduce.
+    #: schedule's, which the same outputs must reproduce.  With two
+    #: workers each chunk's halo rows stand in for edge padding.
     REUSE_ACCOUNTING = {1: (73.0, 0.003617032953488371),
-                        2: (131.0, 0.005684040558139536)}
+                        2: (131.0, 0.005680560755813954)}
 
     @pytest.mark.parametrize("n_workers,launches,modeled_time_s", [
         (1, 184.0, 0.0058574061395348835),

@@ -106,7 +106,8 @@ class TestProtocol:
         unknown_op, missing_job, bad_params, missing_cube = responses
         assert not unknown_op["ok"] and "frobnicate" in unknown_op["message"]
         assert missing_job["error"] == "JobNotFoundError"
-        assert bad_params["error"] == "TypeError"
+        assert bad_params["error"] == "UnknownConfigKeyError"
+        assert "no_such_field" in bad_params["message"]
         assert not missing_cube["ok"]
 
     def test_health_reports_every_subsystem(self, scene_path, tmp_path):

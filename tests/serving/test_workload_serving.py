@@ -14,7 +14,8 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.errors import NonFiniteInputError, UnknownWorkloadError
+from repro.errors import (NonFiniteInputError, UnknownConfigKeyError,
+                          UnknownWorkloadError)
 from repro.serving import AMCServer, job_key, result_digest, result_nbytes
 from repro.serving import jobs as jobstates
 from repro.workloads import get_workload
@@ -191,6 +192,20 @@ class TestServerWorkloads:
                     await server.submit(small_cube, workload="kmeans")
 
         asyncio.run(scenario())
+
+    def test_unknown_config_key_rejected_at_submit(self, small_cube):
+        """The removed ``optimize`` knob fails admission with the typed
+        error; nothing is submitted or run."""
+        async def scenario():
+            async with AMCServer(workers=1) as server:
+                with pytest.raises(UnknownConfigKeyError, match="optimize"):
+                    await server.submit(small_cube, {"n_classes": 3,
+                                                     "optimize": "fuse"})
+                return server.stats()
+
+        stats = asyncio.run(scenario())
+        assert stats["counters"]["submitted"] == 0
+        assert stats["pipeline_runs"] == 0
 
     def test_default_params_do_not_leak_across_workloads(self, small_cube):
         """Server-level default params belong to the default workload

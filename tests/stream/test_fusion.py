@@ -86,7 +86,7 @@ class TestFuseElementwise:
         np.testing.assert_array_equal(ref["out"].data, got["out"].data)
 
     def test_gpu_bit_identical_and_fewer_launches(self, chain, x_stream):
-        oracle = VirtualGPU(GEFORCE_7800GTX, optimize="none")
+        oracle = VirtualGPU(GEFORCE_7800GTX)
         device = VirtualGPU(GEFORCE_7800GTX)
         ref = GpuExecutor(oracle).run(chain, {"x": x_stream})
         got = GpuExecutor(device).run(fuse_elementwise(chain),
@@ -99,13 +99,11 @@ class TestFuseElementwise:
         device = VirtualGPU(GEFORCE_7800GTX)
         GpuExecutor(device).run(fuse_elementwise(chain), {"x": x_stream})
         assert device.counters.passes_fused == 3
-        # 3 intermediate textures + the interpreter scratch
-        assert device.counters.temporaries_elided == 4
         summary = device.counters.summary()
         assert summary["passes_fused"] == 3.0
 
     def test_fused_modeled_time_lower(self, chain, x_stream):
-        oracle = VirtualGPU(GEFORCE_7800GTX, optimize="none")
+        oracle = VirtualGPU(GEFORCE_7800GTX)
         device = VirtualGPU(GEFORCE_7800GTX)
         GpuExecutor(oracle).run(chain, {"x": x_stream})
         GpuExecutor(device).run(fuse_elementwise(chain),
@@ -117,7 +115,7 @@ class TestFuseElementwise:
         chain; only the fetches of *inlined* intermediates (t1, t3 —
         one each) disappear, because the value now stays in a register
         instead of round-tripping through a texture."""
-        oracle = VirtualGPU(GEFORCE_7800GTX, optimize="none")
+        oracle = VirtualGPU(GEFORCE_7800GTX)
         device = VirtualGPU(GEFORCE_7800GTX)
         GpuExecutor(oracle).run(chain, {"x": x_stream})
         GpuExecutor(device).run(fuse_elementwise(chain),
@@ -267,9 +265,9 @@ class TestStructuralMemo:
         calls = {"n": 0}
         real = interpreter._fetch_static
 
-        def counting(texture, dx, dy, fast=False):
+        def counting(texture, dx, dy):
             calls["n"] += 1
-            return real(texture, dx, dy, fast)
+            return real(texture, dx, dy)
 
         monkeypatch.setattr(interpreter, "_fetch_static", counting)
         body = ir.add(ir.TexFetch("a", 1, 0), ir.TexFetch("a", 1, 0))
@@ -289,9 +287,9 @@ class TestStructuralMemo:
         calls = {"n": 0}
         real = interpreter._fetch_static
 
-        def counting(texture, dx, dy, fast=False):
+        def counting(texture, dx, dy):
             calls["n"] += 1
-            return real(texture, dx, dy, fast)
+            return real(texture, dx, dy)
 
         monkeypatch.setattr(interpreter, "_fetch_static", counting)
         shift = StreamKernel.from_expression(

@@ -200,16 +200,14 @@ class TestExecutors:
 
         device = VirtualGPU(GEFORCE_7800GTX)
         calls = {"n": 0}
-        real_execute = device_mod.execute
+        real_execute = device_mod.execute_lazy
 
-        def flaky(shader, height, width, textures, uniforms=None,
-                  **kwargs):
+        def flaky(shader, height, width, textures, uniforms=None):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("injected kernel fault")
             return real_execute(shader, height, width, textures, uniforms)
 
-        monkeypatch.setattr(device_mod, "execute", flaky)
         monkeypatch.setattr(device_mod, "execute_lazy", flaky)
         x = Stream.from_scalar("x", rng.uniform(size=(4, 4)))
         with pytest.raises(RuntimeError, match="injected"):

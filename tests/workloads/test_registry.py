@@ -1,9 +1,12 @@
 """Tests for the workload registry and the Workload contract."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.errors import UnknownWorkloadError
+from repro.errors import (ReproError, UnknownConfigKeyError,
+                          UnknownWorkloadError, ValidationError)
 from repro.workloads import (
     DEFAULT_EXECUTION_KNOBS,
     AMCWorkload,
@@ -119,6 +122,21 @@ class TestDeclarations:
     def test_as_config_rejects_unknown_fields(self):
         with pytest.raises(TypeError):
             get_workload("rx").as_config({"se_radius": 2})
+
+    @pytest.mark.parametrize("name", ("amc", "rx"))
+    def test_removed_optimize_key_rejected(self, name):
+        """A client still sending the removed ``optimize`` knob gets the
+        typed error, naming the key — and it survives a pickle round
+        trip (pool result queues)."""
+        with pytest.raises(UnknownConfigKeyError, match="'optimize'") as info:
+            get_workload(name).as_config({"optimize": "fuse"})
+        err = info.value
+        assert isinstance(err, ValidationError)
+        assert isinstance(err, TypeError)
+        assert isinstance(err, ReproError)
+        clone = pickle.loads(pickle.dumps(err))
+        assert type(clone) is UnknownConfigKeyError
+        assert str(clone) == str(err)
 
     def test_detection_config_validation(self):
         with pytest.raises(ValueError):
